@@ -44,6 +44,8 @@ WORKLOAD_REPS = 3
 #: every module holding a direct ``span`` binding (import-time copies:
 #: patching ``repro.obs.trace.span`` alone would not reach them)
 INSTRUMENTED_MODULES = (
+    "repro.bdd.manager",
+    "repro.bdd.reorder",
     "repro.core.approx1",
     "repro.core.approx2",
     "repro.core.exact",

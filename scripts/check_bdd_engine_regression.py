@@ -102,6 +102,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -218,7 +219,7 @@ def check_parallel(update: bool, smoke: bool) -> int:
     data = load_baseline(PARALLEL_BASELINE_FILE)
     cores = len(os.sched_getaffinity(0))
     jobs = max(2, cores)
-    tmp = Path("/tmp")
+    tmp = Path(tempfile.gettempdir())
 
     ok = True
     measured: dict[str, float] = {}
@@ -317,7 +318,7 @@ def run_bench_eco(smoke: bool, out: Path) -> dict:
 def check_eco(update: bool, smoke: bool) -> int:
     data = load_baseline(ECO_BASELINE_FILE)
     gates = data["gates"]
-    out = Path("/tmp") / ("bench_eco_smoke.json" if smoke else "bench_eco.json")
+    out = Path(tempfile.gettempdir()) / ("bench_eco_smoke.json" if smoke else "bench_eco.json")
     print(f"running bench_eco.py{' --smoke' if smoke else ''} ...", flush=True)
     payload = run_bench_eco(smoke, out)
     results = {r["scenario"]: r for r in payload["results"]}
@@ -404,7 +405,7 @@ def run_bench_interval(smoke: bool, out: Path) -> dict:
 def check_interval(update: bool, smoke: bool) -> int:
     data = load_baseline(INTERVAL_BASELINE_FILE)
     gates = data["gates"]
-    out = Path("/tmp") / (
+    out = Path(tempfile.gettempdir()) / (
         "bench_interval_smoke.json" if smoke else "bench_interval.json"
     )
     print(f"running bench_interval.py{' --smoke' if smoke else ''} ...",
@@ -513,7 +514,7 @@ def run_bench_serve(smoke: bool, out: Path) -> dict:
 def check_serve(update: bool, smoke: bool) -> int:
     data = load_baseline(SERVE_BASELINE_FILE)
     gates = data["gates"]
-    out = Path("/tmp") / ("bench_serve_smoke.json" if smoke else "bench_serve.json")
+    out = Path(tempfile.gettempdir()) / ("bench_serve_smoke.json" if smoke else "bench_serve.json")
     print(f"running bench_serve.py{' --smoke' if smoke else ''} ...", flush=True)
     payload = run_bench_serve(smoke, out)
 
@@ -647,7 +648,7 @@ def run_ablation_array() -> float:
 def _backend_grid(methods: str, backends: tuple[str, ...],
                   circuits: str | None = None):
     """Run one table1 subset under each kernel; returns walls + rows."""
-    tmp = Path("/tmp")
+    tmp = Path(tempfile.gettempdir())
     walls: dict[str, float] = {}
     rows: dict[str, list] = {}
     for backend in backends:

@@ -10,10 +10,18 @@ backend factory) falls back to the array kernel.
 
 Environment knobs:
 
-* ``REPRO_NATIVE_CC``    — compiler executable (name or path); default
+* ``REPRO_NATIVE_CC``       — compiler executable (name or path); default
   is the first of ``cc``, ``gcc``, ``clang`` found on ``PATH``.
-* ``REPRO_NATIVE_CACHE`` — artifact directory; default is
+* ``REPRO_NATIVE_CACHE``    — artifact directory; default is
   ``$XDG_CACHE_HOME/repro/native`` (or ``~/.cache/repro/native``).
+* ``REPRO_NATIVE_SANITIZE`` — ``1`` builds (and loads) the kernel with
+  AddressSanitizer and UndefinedBehaviorSanitizer instead.  The flags are
+  part of the artifact's hash, so the checked build never shadows the
+  normal one.  The interpreter itself is not instrumented, so the ASan
+  runtime must be preloaded::
+
+      LD_PRELOAD=$(gcc -print-file-name=libasan.so) \
+          REPRO_NATIVE_SANITIZE=1 python -m pytest tests/unit/test_bdd_native_backend.py
 """
 
 from __future__ import annotations
@@ -38,11 +46,25 @@ CACHE_ENV = "REPRO_NATIVE_CACHE"
 #: candidate compilers, in preference order, when no override is set
 COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 
+#: sanitizer-build environment variable
+SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
+
 #: flags for a small position-independent shared object
 CFLAGS = ("-O2", "-fPIC", "-shared")
 
+#: flags of the sanitizer build; errors abort instead of recovering
+SANITIZE_CFLAGS = (
+    "-O1",
+    "-g",
+    "-fPIC",
+    "-shared",
+    "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=all",
+    "-fno-omit-frame-pointer",
+)
+
 #: expected ``nat_abi_version()`` of a loadable artifact
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 # (lib, reason) memo of the one load attempt per process; retried only
 # when a test resets it explicitly.
@@ -66,9 +88,22 @@ def find_compiler() -> str | None:
     return None
 
 
+def sanitized() -> bool:
+    """Whether the sanitizer build is selected (``$REPRO_NATIVE_SANITIZE``)."""
+    return os.environ.get(SANITIZE_ENV) == "1"
+
+
+def build_flags() -> tuple[str, ...]:
+    """The compiler flags of the current build mode."""
+    return SANITIZE_CFLAGS if sanitized() else CFLAGS
+
+
 def source_digest(source: Path = KERNEL_SOURCE) -> str:
-    """SHA-256 of the C source — the identity of a built artifact."""
-    return hashlib.sha256(source.read_bytes()).hexdigest()
+    """SHA-256 of the C source and the build flags — the identity of a
+    built artifact."""
+    digest = hashlib.sha256(source.read_bytes())
+    digest.update("\0".join(build_flags()).encode())
+    return digest.hexdigest()
 
 
 def artifact_dir() -> Path:
@@ -83,7 +118,8 @@ def artifact_dir() -> Path:
 
 def artifact_path(source: Path = KERNEL_SOURCE) -> Path:
     """The content-addressed artifact for the current source text."""
-    return artifact_dir() / f"libreprobdd-{source_digest(source)[:16]}.so"
+    mode = "-san" if sanitized() else ""
+    return artifact_dir() / f"libreprobdd{mode}-{source_digest(source)[:16]}.so"
 
 
 def build_kernel(
@@ -113,7 +149,7 @@ def build_kernel(
         )
         os.close(fd)
         proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp, str(source)],
+            [cc, *build_flags(), "-o", tmp, str(source)],
             capture_output=True,
             text=True,
             timeout=120,
@@ -181,10 +217,6 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.nat_free.restype = None
     lib.nat_add_var.argtypes = [p]
     lib.nat_add_var.restype = None
-    lib.nat_set_node_cap.argtypes = [p, i64]
-    lib.nat_set_node_cap.restype = None
-    lib.nat_load.argtypes = [p, i64, i32p, i32p, i32p, i32, i32p, i64]
-    lib.nat_load.restype = None
     lib.nat_num_nodes.argtypes = [p]
     lib.nat_num_nodes.restype = i64
     lib.nat_read_rows.argtypes = [p, i64, i64, i32p, i32p, i32p]
@@ -213,6 +245,14 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.nat_and_forall.restype = i64
     lib.nat_restrict.argtypes = [p, i32, i32p, i32, i32, i64]
     lib.nat_restrict.restype = i64
+    lib.nat_gc.argtypes = [p, i32p, i64]
+    lib.nat_gc.restype = i64
+    lib.nat_swap_levels.argtypes = [p, i32, i32, i32, i64p]
+    lib.nat_swap_levels.restype = i64
+    lib.nat_read_swapped.argtypes = [p, i64, i32p, i32p, i32p]
+    lib.nat_read_swapped.restype = None
+    lib.nat_level_sizes.argtypes = [p, i64p]
+    lib.nat_level_sizes.restype = None
     lib.nat_abi_version.argtypes = []
     lib.nat_abi_version.restype = i64
 
@@ -222,10 +262,13 @@ __all__ = [
     "CC_ENV",
     "CACHE_ENV",
     "KERNEL_SOURCE",
+    "SANITIZE_ENV",
     "artifact_dir",
     "artifact_path",
+    "build_flags",
     "build_kernel",
     "find_compiler",
     "load_kernel",
+    "sanitized",
     "source_digest",
 ]

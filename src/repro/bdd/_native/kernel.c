@@ -24,11 +24,22 @@
  * Budget aborts are reported by returning -1 through every machine; the
  * Python wrapper (repro.bdd.native_backend) raises ResourceLimitError
  * after mirroring the partial node rows, exactly like the other kernels.
+ *
+ * The kernel is the single authority over its memory: garbage collection
+ * (nat_gc) and adjacent level swaps (nat_swap_levels) run here too, and
+ * the Python side only mirrors rows read back from C.  The unique tables
+ * follow the array kernel's _UniqueTable slot for slot (tombstones, the
+ * growth, rebuild and never-shrink reset policies), so the slot order a
+ * level swap walks — and with it the order of the nodes the swap
+ * creates — is the array kernel's as well.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 typedef int32_t i32;
 typedef int64_t i64;
@@ -51,11 +62,15 @@ enum { T_NOT, T_AND, T_OR, T_XOR, T_EXISTS, T_ANDEX, T_ANDALL, T_RESTRICT,
 /* ------------------------------------------------------------------ */
 
 typedef struct {
-    u64 *keys; /* packed (low << 32) | high; 0 = empty (no tombstones:   */
-    i32 *vals; /* the C tables are rebuilt from rows after every GC)     */
+    u64 *keys; /* packed (low << 32) | high; 0 = empty, UT_TOMB = swept */
+    i32 *vals;
     u64 mask;
-    i64 size;
+    i64 size;  /* residents */
+    i64 tombs; /* tombstones */
 } UT;
+
+/* a tombstone: probes continue past it; no packed key has its top bit set */
+#define UT_TOMB (~(u64)0)
 
 /* ------------------------------------------------------------------ */
 /* direct-mapped computed cache                                        */
@@ -93,9 +108,13 @@ typedef struct {
     i32 *var;
     i32 *low;
     i32 *high;
-    i64 n;        /* node rows in use (terminals included)   */
-    i64 cap;      /* allocated rows                          */
-    i64 node_cap; /* abort threshold: creating row n > cap   */
+    i64 n;         /* node rows in use (terminals included)   */
+    i64 cap;       /* allocated rows                          */
+    i64 node_cap;  /* abort threshold: creating row n > cap   */
+    i64 max_nodes; /* the live-node budget (-1: none)         */
+    i64 dead_rows; /* swept rows not yet compacted away       */
+    int orphans;   /* a swap ended early: some live rows sit  */
+                   /* in no unique table                      */
     int nvars;
     int vcap;
     UT *ut;       /* one per variable                        */
@@ -112,6 +131,9 @@ typedef struct {
     i32 *rs;
     i64 rs_cap;
     i64 rp;
+    /* ids rewritten by the last level swap, in rewrite order  */
+    i32 *swapped;
+    i64 swapped_cap;
 } Mgr;
 
 /* ------------------------------------------------------------------ */
@@ -125,12 +147,17 @@ static u64 pow2_at_least(u64 n) {
     return p;
 }
 
+static u64 ut_home(u64 key, u64 mask) {
+    return (((key >> 32) * H1) ^ (key & 0xFFFFFFFFULL)) & mask;
+}
+
 static void ut_init(UT *t, u64 capacity) {
     u64 slots = pow2_at_least(capacity < 8 ? 8 : capacity);
     t->keys = (u64 *)calloc(slots, sizeof(u64));
     t->vals = (i32 *)calloc(slots, sizeof(i32));
     t->mask = slots - 1;
     t->size = 0;
+    t->tombs = 0;
 }
 
 static void ut_free(UT *t) {
@@ -140,19 +167,17 @@ static void ut_free(UT *t) {
     t->vals = NULL;
 }
 
-static void ut_grow(UT *t) {
-    u64 slots = t->mask + 1;
-    /* mid-size tables quadruple, large tables double (array-kernel policy) */
-    slots <<= (slots >= ((u64)1 << 16)) ? 1 : 2;
+/* rehash the residents, in slot order, into `slots` fresh slots */
+static void ut_rehash(UT *t, u64 slots) {
     u64 *nk = (u64 *)calloc(slots, sizeof(u64));
     i32 *nv = (i32 *)calloc(slots, sizeof(i32));
     u64 mask = slots - 1;
     u64 old_slots = t->mask + 1;
     for (u64 i = 0; i < old_slots; i++) {
         u64 key = t->keys[i];
-        if (!key)
+        if (!key || key == UT_TOMB)
             continue;
-        u64 j = (((key >> 32) * H1) ^ (key & 0xFFFFFFFFULL)) & mask;
+        u64 j = ut_home(key, mask);
         while (nk[j])
             j = (j + 1) & mask;
         nk[j] = key;
@@ -163,16 +188,58 @@ static void ut_grow(UT *t) {
     t->keys = nk;
     t->vals = nv;
     t->mask = mask;
+    t->tombs = 0;
 }
 
+static void ut_grow(UT *t) {
+    u64 slots = t->mask + 1;
+    /* mid-size tables quadruple, large tables double (array-kernel policy) */
+    slots <<= (slots >= ((u64)1 << 16)) ? 1 : 2;
+    ut_rehash(t, slots);
+}
+
+/* empty the table, sized for `capacity` entries but never shrunk */
+static void ut_reset(UT *t, i64 capacity) {
+    u64 slots = pow2_at_least((u64)(capacity * 2 < 8 ? 8 : capacity * 2));
+    if (slots <= t->mask + 1) {
+        /* vals are read only under a matching key: clearing keys is enough */
+        memset(t->keys, 0, (t->mask + 1) * sizeof(u64));
+    } else {
+        free(t->keys);
+        free(t->vals);
+        t->keys = (u64 *)calloc(slots, sizeof(u64));
+        t->vals = (i32 *)calloc(slots, sizeof(i32));
+        t->mask = slots - 1;
+    }
+    t->size = 0;
+    t->tombs = 0;
+}
+
+static i32 ut_lookup(const UT *t, i32 low, i32 high) {
+    u64 key = ((u64)(u32)low << 32) | (u32)high;
+    u64 j = ut_home(key, t->mask);
+    for (;;) {
+        u64 s = t->keys[j];
+        if (s == key)
+            return t->vals[j];
+        if (s == 0)
+            return -1;
+        j = (j + 1) & t->mask;
+    }
+}
+
+/* insert an entry known to be absent; unlike mk, this reuses the first
+ * tombstone on the probe path (the array kernel's _UniqueTable.insert) */
 static void ut_insert(UT *t, i32 low, i32 high, i32 id) {
     u64 key = ((u64)(u32)low << 32) | (u32)high;
-    u64 j = (((u64)(u32)low * H1) ^ (u32)high) & t->mask;
-    while (t->keys[j])
+    u64 j = ut_home(key, t->mask);
+    while (t->keys[j] && t->keys[j] != UT_TOMB)
         j = (j + 1) & t->mask;
+    if (t->keys[j] == UT_TOMB)
+        t->tombs--;
     t->keys[j] = key;
     t->vals[j] = id;
-    if (++t->size * 3 >= (i64)(t->mask + 1) * 2)
+    if ((++t->size + t->tombs) * 3 >= (i64)(t->mask + 1) * 2)
         ut_grow(t);
 }
 
@@ -249,7 +316,11 @@ static void grow_nodes(Mgr *m) {
     m->cap = cap;
 }
 
-Mgr *nat_new(i64 node_cap, i64 cache_bound) {
+static i64 node_cap_of(i64 max_nodes, i64 dead_rows) {
+    return max_nodes < 0 ? NO_CAP : max_nodes + dead_rows;
+}
+
+Mgr *nat_new(i64 max_nodes, i64 cache_bound) {
     Mgr *m = (Mgr *)calloc(1, sizeof(Mgr));
     m->cap = 1024;
     m->var = (i32 *)malloc(m->cap * sizeof(i32));
@@ -263,7 +334,8 @@ Mgr *nat_new(i64 node_cap, i64 cache_bound) {
     m->low[1] = TRUE_ID;
     m->high[1] = TRUE_ID;
     m->n = 2;
-    m->node_cap = node_cap < 0 ? NO_CAP : node_cap;
+    m->max_nodes = max_nodes < 0 ? -1 : max_nodes;
+    m->node_cap = node_cap_of(m->max_nodes, 0);
     m->nvars = 0;
     m->vcap = 16;
     m->ut = (UT *)calloc(m->vcap, sizeof(UT));
@@ -282,9 +354,17 @@ Mgr *nat_new(i64 node_cap, i64 cache_bound) {
     return m;
 }
 
+/* A manager that held a large store hands the heap pages it freed back
+ * to the system.  glibc keeps freed memory in the calling thread's arena,
+ * where the next manager's differently sized blocks reuse it poorly: a
+ * daemon thread running one analysis after another otherwise keeps the
+ * high-water mark of all of them (serve-mix peak RSS +14% without it). */
+#define TRIM_ROWS ((i64)1 << 16)
+
 void nat_free(Mgr *m) {
     if (!m)
         return;
+    int trim = m->cap >= TRIM_ROWS;
     free(m->var);
     free(m->low);
     free(m->high);
@@ -297,7 +377,14 @@ void nat_free(Mgr *m) {
     free(m->qset);
     free(m->fs);
     free(m->rs);
+    free(m->swapped);
     free(m);
+#if defined(__GLIBC__)
+    if (trim)
+        malloc_trim(0);
+#else
+    (void)trim;
+#endif
 }
 
 void nat_add_var(Mgr *m) {
@@ -317,55 +404,6 @@ void nat_add_var(Mgr *m) {
         memset(m->qset + m->qset_cap, 0, cap - m->qset_cap);
         m->qset_cap = cap;
     }
-}
-
-void nat_set_node_cap(Mgr *m, i64 node_cap) {
-    m->node_cap = node_cap < 0 ? NO_CAP : node_cap;
-}
-
-/* Bulk (re)load after a Python-authority episode (GC, level swaps,
- * reordering): replace the node rows, rebuild every unique table from
- * the surviving rows, adopt the current variable order, and drop the
- * computed caches (their node-id keys may have been remapped). */
-void nat_load(Mgr *m, i64 n, const i32 *var, const i32 *low, const i32 *high,
-              i32 nvars, const i32 *v2l, i64 node_cap) {
-    if (n > m->cap) {
-        i64 cap = m->cap;
-        while (cap < n)
-            cap *= 2;
-        m->var = (i32 *)realloc(m->var, cap * sizeof(i32));
-        m->low = (i32 *)realloc(m->low, cap * sizeof(i32));
-        m->high = (i32 *)realloc(m->high, cap * sizeof(i32));
-        m->cap = cap;
-    }
-    memcpy(m->var, var, n * sizeof(i32));
-    memcpy(m->low, low, n * sizeof(i32));
-    memcpy(m->high, high, n * sizeof(i32));
-    m->n = n;
-    m->node_cap = node_cap < 0 ? NO_CAP : node_cap;
-    for (int v = 0; v < m->nvars; v++)
-        ut_free(&m->ut[v]);
-    while (m->nvars < nvars) {
-        /* sizes the ut/v2l/qset arrays; the per-var table is re-inited
-         * below with a proper capacity */
-        nat_add_var(m);
-        ut_free(&m->ut[m->nvars - 1]);
-    }
-    m->nvars = nvars;
-    memcpy(m->v2l, v2l, nvars * sizeof(i32));
-    /* count live rows per var, then size each table to its population */
-    i64 *counts = (i64 *)calloc(nvars ? nvars : 1, sizeof(i64));
-    for (i64 i = 2; i < n; i++)
-        if (var[i] >= 0)
-            counts[var[i]]++;
-    for (int v = 0; v < nvars; v++)
-        ut_init(&m->ut[v], (u64)(counts[v] * 2));
-    free(counts);
-    for (i64 i = 2; i < n; i++)
-        if (var[i] >= 0)
-            ut_insert(&m->ut[var[i]], low[i], high[i], (i32)i);
-    for (int t = 0; t < N_TABS; t++)
-        cache_clear(&m->tabs[t]);
 }
 
 i64 nat_num_nodes(Mgr *m) { return m->n; }
@@ -1086,5 +1124,248 @@ i64 nat_restrict(Mgr *m, i32 f, const i32 *pairs, i32 npairs, i32 start,
     return pack(m, do_restrict(m, pairs, npairs, (u64)pid));
 }
 
+/* ------------------------------------------------------------------ */
+/* garbage collection: tombstone sweep + mark-and-compact              */
+/* ------------------------------------------------------------------ */
+
+/* Mark from `roots` (the externally referenced ids), then tombstone every
+ * unmarked unique-table resident in place: its row is zeroed and no id
+ * moves.  Once the dead rows accumulated since the last compaction reach
+ * half the store, compact: renumber the marked rows densely in id order
+ * (terminals stay at 0/1), rebuild every table from the survivors, and
+ * rewrite `roots` in place to the new ids.  The outcome is that of
+ * ArrayBddManager.garbage_collect, slot for slot; work a compaction
+ * discards anyway (tombstoning, zeroing the dead rows, rehashing) is
+ * skipped when one follows.  The node cap becomes max_nodes + dead rows
+ * and the computed caches are dropped.
+ * Returns (reclaimed << 1) | compacted. */
+i64 nat_gc(Mgr *m, i32 *roots, i64 nroots) {
+    i64 n = m->n;
+    unsigned char *marked = (unsigned char *)calloc(n, 1);
+    marked[FALSE_ID] = 1;
+    marked[TRUE_ID] = 1;
+    i64 sp = 0;
+    i64 scap = nroots + 64;
+    i32 *stack = (i32 *)malloc(scap * sizeof(i32));
+    for (i64 i = 0; i < nroots; i++)
+        stack[sp++] = roots[i];
+    while (sp) {
+        i32 f = stack[--sp];
+        if (marked[f])
+            continue;
+        marked[f] = 1;
+        if (m->var[f] == TERMINAL_VAR)
+            continue;
+        if (sp + 2 > scap) {
+            scap *= 2;
+            stack = (i32 *)realloc(stack, scap * sizeof(i32));
+        }
+        stack[sp++] = m->low[f];
+        stack[sp++] = m->high[f];
+    }
+    free(stack);
+
+    /* the dead are the unmarked unique-table residents: while every
+     * live row is a resident, a sequential row scan finds them; after a
+     * swap that ended early, only a scan of the tables does */
+    i32 *dead_ids = (i32 *)malloc((n ? n : 1) * sizeof(i32));
+    i64 reclaimed = 0;
+    if (!m->orphans) {
+        for (i64 i = 2; i < n; i++)
+            if (m->var[i] != TERMINAL_VAR && !marked[i])
+                dead_ids[reclaimed++] = (i32)i;
+    } else {
+        for (int v = 0; v < m->nvars; v++) {
+            UT *t = &m->ut[v];
+            for (u64 j = 0; j <= t->mask; j++) {
+                u64 key = t->keys[j];
+                if (key && key != UT_TOMB && !marked[t->vals[j]])
+                    dead_ids[reclaimed++] = t->vals[j];
+            }
+        }
+    }
+
+    i64 dead_rows = m->dead_rows + reclaimed;
+    int compacted = dead_rows * 2 >= n;
+    if (!compacted) {
+        /* tombstone each dead resident in place and zero its row */
+        for (i64 i = 0; i < reclaimed; i++) {
+            i32 id = dead_ids[i];
+            UT *t = &m->ut[m->var[id]];
+            u64 key = ((u64)(u32)m->low[id] << 32) | (u32)m->high[id];
+            u64 j = ut_home(key, t->mask);
+            while (t->keys[j] != key && t->keys[j])
+                j = (j + 1) & t->mask;
+            if (t->keys[j] == key) {
+                t->keys[j] = UT_TOMB;
+                t->size--;
+                t->tombs++;
+            }
+            m->var[id] = TERMINAL_VAR;
+            m->low[id] = FALSE_ID;
+            m->high[id] = FALSE_ID;
+        }
+        /* only a table swept just now can cross the bound: every GC
+         * leaves tombs * 4 <= slots, and tombstones only go away after */
+        for (int v = 0; v < m->nvars; v++) {
+            UT *t = &m->ut[v];
+            if (t->tombs * 4 > (i64)(t->mask + 1))
+                ut_rehash(t, t->mask + 1);
+        }
+    } else {
+        i32 *remap = (i32 *)malloc(n * sizeof(i32));
+        i32 next = 0;
+        for (i64 i = 0; i < n; i++)
+            remap[i] = marked[i] ? next++ : -1;
+        /* remap is increasing, so row i is read before anything lands on
+         * it and the rewrite can run in place */
+        for (i64 i = 0; i < n; i++) {
+            if (!marked[i])
+                continue;
+            i32 k = remap[i];
+            m->var[k] = m->var[i];
+            m->low[k] = remap[m->low[i]];
+            m->high[k] = remap[m->high[i]];
+        }
+        for (i64 i = 0; i < nroots; i++)
+            roots[i] = remap[roots[i]];
+        m->n = next;
+        i64 *counts = (i64 *)calloc(m->nvars ? m->nvars : 1, sizeof(i64));
+        for (i64 i = 2; i < next; i++)
+            if (m->var[i] >= 0)
+                counts[m->var[i]]++;
+        for (int v = 0; v < m->nvars; v++)
+            ut_reset(&m->ut[v], counts[v]);
+        free(counts);
+        for (i64 i = 2; i < next; i++) {
+            if (m->var[i] < 0)
+                continue;
+            UT *t = &m->ut[m->var[i]];
+            u64 key = ((u64)(u32)m->low[i] << 32) | (u32)m->high[i];
+            u64 j = ut_home(key, t->mask);
+            while (t->keys[j])
+                j = (j + 1) & t->mask;
+            t->keys[j] = key;
+            t->vals[j] = (i32)i;
+            t->size++;
+        }
+        free(remap);
+        dead_rows = 0;
+        m->orphans = 0; /* the tables now hold every surviving row */
+    }
+    free(dead_ids);
+    free(marked);
+    m->dead_rows = dead_rows;
+    m->node_cap = node_cap_of(m->max_nodes, dead_rows);
+    for (int t = 0; t < N_TABS; t++)
+        cache_clear(&m->tabs[t]);
+    return (reclaimed << 1) | compacted;
+}
+
+/* ------------------------------------------------------------------ */
+/* adjacent level swap (sifting)                                       */
+/* ------------------------------------------------------------------ */
+
+/* Swap variable `upper` at `level` with variable `lower` at level + 1 in
+ * place, as ArrayBddManager.swap_levels does: walk the upper table's
+ * residents in slot order, take out the ones with a child labelled
+ * `lower` and reinsert the rest into the reset table, exchange the two
+ * levels, then rewrite each taken row in turn — mk its two new
+ * upper-variable children (budget checked as in any mk), relabel it
+ * `lower` and enter it in the lower table.  Ids are preserved.
+ * info[0] receives the number of rows to rewrite, info[1] the number
+ * rewritten (nat_read_swapped reads them back).  Returns 0, -1 on a
+ * budget abort (levels already exchanged, as in the array kernel) or -2
+ * on a unique-table collision. */
+i64 nat_swap_levels(Mgr *m, i32 level, i32 upper, i32 lower, i64 *info) {
+    UT *up = &m->ut[upper];
+    UT *lo = &m->ut[lower];
+    i64 nres = up->size;
+    if (nres > m->swapped_cap) {
+        m->swapped_cap = nres;
+        m->swapped = (i32 *)realloc(m->swapped, nres * sizeof(i32));
+    }
+    i32 *keep = (i32 *)malloc((nres ? nres : 1) * sizeof(i32));
+    i64 k = 0;
+    i64 nkeep = 0;
+    for (u64 j = 0; j <= up->mask; j++) {
+        u64 key = up->keys[j];
+        if (!key || key == UT_TOMB)
+            continue;
+        i32 id = up->vals[j];
+        if (m->var[m->low[id]] == lower || m->var[m->high[id]] == lower)
+            m->swapped[k++] = id;
+        else
+            keep[nkeep++] = id;
+    }
+    if (k) {
+        ut_reset(up, nkeep);
+        for (i64 i = 0; i < nkeep; i++)
+            ut_insert(up, m->low[keep[i]], m->high[keep[i]], keep[i]);
+    }
+    free(keep);
+    m->v2l[upper] = level + 1;
+    m->v2l[lower] = level;
+    info[0] = k;
+    info[1] = 0;
+    i64 status = 0;
+    for (i64 i = 0; i < k; i++) {
+        i32 id = m->swapped[i];
+        i32 f0 = m->low[id];
+        i32 f1 = m->high[id];
+        i32 f00 = f0, f01 = f0, f10 = f1, f11 = f1;
+        if (m->var[f0] == lower) {
+            f00 = m->low[f0];
+            f01 = m->high[f0];
+        }
+        if (m->var[f1] == lower) {
+            f10 = m->low[f1];
+            f11 = m->high[f1];
+        }
+        i64 nl = mk(m, upper, f00, f10);
+        if (nl < 0) {
+            status = -1;
+            break;
+        }
+        i64 nh = mk(m, upper, f01, f11);
+        if (nh < 0) {
+            status = -1;
+            break;
+        }
+        m->var[id] = lower;
+        m->low[id] = (i32)nl;
+        m->high[id] = (i32)nh;
+        i32 existing = ut_lookup(lo, (i32)nl, (i32)nh);
+        if (existing >= 0 && existing != id) {
+            status = -2;
+            break;
+        }
+        if (existing < 0)
+            ut_insert(lo, (i32)nl, (i32)nh, id);
+        info[1] = i + 1;
+    }
+    if (status)
+        m->orphans = 1;
+    for (int t = 0; t < N_TABS; t++)
+        cache_clear(&m->tabs[t]);
+    return status;
+}
+
+/* the first `count` rows rewritten by the last swap: ids and children */
+void nat_read_swapped(Mgr *m, i64 count, i32 *ids, i32 *low, i32 *high) {
+    for (i64 i = 0; i < count; i++) {
+        i32 id = m->swapped[i];
+        ids[i] = id;
+        low[i] = m->low[id];
+        high[i] = m->high[id];
+    }
+}
+
+/* unique-table residents per level */
+void nat_level_sizes(Mgr *m, i64 *out) {
+    for (int v = 0; v < m->nvars; v++)
+        out[m->v2l[v]] = m->ut[v].size;
+}
+
 /* a tiny self-check hook so the loader can verify the ABI */
-i64 nat_abi_version(void) { return 2; }
+i64 nat_abi_version(void) { return 3; }

@@ -64,6 +64,7 @@ from repro.bdd.manager import (
     TRUE,
     BddManager,
     BddNode,
+    traced_gc,
 )
 from repro.errors import BddError, ResourceLimitError
 
@@ -1789,6 +1790,7 @@ class ArrayBddManager(BddManager):
     # ------------------------------------------------------------------
     # garbage collection: tombstone sweep + mark-and-compact
     # ------------------------------------------------------------------
+    @traced_gc
     def garbage_collect(self) -> int:
         """Sweep dead nodes; compact the arrays once dead rows dominate.
 

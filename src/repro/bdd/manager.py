@@ -30,11 +30,13 @@ Implementation notes
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import BddError
 from repro.obs.metrics import REGISTRY, EngineTelemetry
+from repro.obs.trace import span
 
 FALSE = 0
 TRUE = 1
@@ -216,6 +218,25 @@ def _bdd_engine_gauges(state: dict) -> dict[str, float]:
         "bdd.nodes_live": float(state["_nodes_live"]),
         "bdd.peak_live": float(state["_peak_live"]),
     }
+
+
+def traced_gc(collect):
+    """Run a kernel's ``garbage_collect`` inside a ``bdd.gc`` span.
+
+    The span carries ``rows`` (node rows before the collection),
+    ``reclaimed`` and ``compacted`` (whether the row store shrank), so a
+    trace shows collection as a layer of its own in every kernel.
+    """
+
+    @functools.wraps(collect)
+    def garbage_collect(self) -> int:
+        rows = len(self._var)
+        with span("bdd.gc", rows=rows) as sp:
+            reclaimed = collect(self)
+            sp.set(reclaimed=reclaimed, compacted=len(self._var) < rows)
+        return reclaimed
+
+    return garbage_collect
 
 
 _TELEMETRY = EngineTelemetry("bdd", _bdd_engine_counters, _bdd_engine_gauges)
@@ -1160,6 +1181,7 @@ class BddManager:
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
+    @traced_gc
     def garbage_collect(self) -> int:
         """Sweep nodes unreachable from externally referenced roots.
 

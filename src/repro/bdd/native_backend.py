@@ -1,30 +1,36 @@
 """The native-kernel BDD manager (backend name ``"native"``).
 
-:class:`NativeBddManager` subclasses the array backend and delegates the
-hot apply/quantify operations to the C kernel in ``_native/kernel.c``
-(built lazily by :mod:`repro.bdd._native.build`).  The C kernel owns the
-same packed-int layout the array backend defines and produces
-bit-identical node-creation sequences and budget-abort points, so every
-consumer — the χ engines, enumeration helpers, :mod:`repro.bdd.minimal`,
-the reorderer — keeps working unchanged.
+:class:`NativeBddManager` subclasses the array backend and runs every
+operation that creates, frees or moves nodes in the C kernel in
+``_native/kernel.c`` (built lazily by :mod:`repro.bdd._native.build`):
+the apply/quantify/restrict loops, ``_mk``, garbage collection
+(``nat_gc``) and adjacent level swaps (``nat_swap_levels``).  The C kernel
+owns the same packed-int layout and the same unique-table slot policy as
+the array backend and produces bit-identical node-creation sequences and
+budget-abort points, so every consumer — the χ engines, enumeration
+helpers, :mod:`repro.bdd.minimal`, the reorderer — keeps working
+unchanged.
 
-Two authority modes keep the Python and C views coherent:
+The C kernel is the single authority over the node store.  Python keeps
+a read-only mirror of the rows in ``_var``/``_low``/``_high`` for its
+readers (enumeration, ``live_node_count``, ``minimal.py``).  The mirror
+is three ``array('i')`` buffers rather than lists, so a bulk read is a
+copy of C memory with no Python int per row to create or free.  It
+follows the kernel at three points:
 
-* **native mode** (``_c_valid``): the C kernel owns node creation.  After
-  every native call the newly created rows are mirrored into the Python
-  ``_var``/``_low``/``_high`` lists (readers — enumeration, GC marking,
-  ``minimal.py`` — never notice a difference), while the Python
-  per-variable unique tables go stale (``_py_tables_valid`` False).
-* **python mode**: garbage collection, level swaps, and reordering run
-  the inherited array-kernel code, which mutates rows in place and
-  remaps ids — so they first rebuild the Python unique tables from the
-  rows and invalidate the C kernel.  The next native operation bulk
-  re-uploads the store (``nat_load``), which also drops the C computed
-  caches whose node-id keys may have been remapped.
+* after an operation, the rows it created are appended to the mirror;
+* after a collection, the mirror is replaced by one bulk read, and on
+  compaction the externally referenced ids (``_extref`` and the live
+  :class:`BddNode` handles) are remapped through the new ids the kernel
+  wrote over the root array;
+* after a level swap, the new rows are appended and the rewritten rows
+  are read back.
 
-Statistics stay truthful in both modes: the eight hot computed tables
-(seven direct-mapped :class:`_NativeCacheView` objects plus the
-dict-style restrict view) transparently add the C kernel's totals, so
+Python never builds unique tables and never re-uploads the store.
+
+Statistics stay truthful: the eight hot computed tables (seven
+direct-mapped :class:`_NativeCacheView` objects plus the dict-style
+restrict view) transparently add the C kernel's totals, so
 ``statistics()``, the ``bdd.*`` telemetry collector, and
 ``reset_statistics()`` need no special cases.
 """
@@ -35,17 +41,16 @@ import ctypes
 import logging
 import threading
 import weakref
-
-import numpy as np
+from array import array
 
 from repro.bdd._native.build import load_kernel
-from repro.bdd.array_backend import ArrayBddManager, _DirectCache, _H1
+from repro.bdd.array_backend import ArrayBddManager, _DirectCache
 from repro.bdd.manager import (
     DEFAULT_CACHE_BOUND,
     FALSE,
     TRUE,
     _ComputedTable,
-    _TERMINAL_VAR,
+    traced_gc,
 )
 from repro.errors import BddError, ResourceLimitError
 from repro.obs.metrics import REGISTRY
@@ -53,6 +58,10 @@ from repro.obs.metrics import REGISTRY
 log = logging.getLogger("repro.bdd.native")
 
 _I32P = ctypes.POINTER(ctypes.c_int32)
+
+#: one zero row: ``array("i", _ZERO) * n`` allocates an n-row buffer
+_ZERO = (0,)
+assert array("i").itemsize == 4, "the row mirror needs a 32-bit array('i')"
 
 #: fallback reasons already warned about (one line per reason per process)
 _WARNED: set[str] = set()
@@ -137,11 +146,10 @@ class _KernelHandle:
 class _NativeCacheView(_DirectCache):
     """A :class:`_DirectCache` whose counters include the C kernel's.
 
-    The Python slot lists stay functional (the inherited array-kernel
-    apply loops use them during python-authority episodes), while the
-    ``hits``/``misses``/``evictions``/``entries`` surface adds the C
-    table's totals — so ``statistics()`` and the ``bdd.*`` telemetry
-    extractor read truthful numbers without knowing about the kernel.
+    The ``hits``/``misses``/``evictions``/``entries`` surface adds the C
+    table's totals to the (idle) Python share — so ``statistics()`` and
+    the ``bdd.*`` telemetry extractor read truthful numbers without
+    knowing about the kernel, and ``reset_counters`` zeroes the sum.
     """
 
     __slots__ = ("_handle", "_base")
@@ -197,10 +205,9 @@ class _NativeCacheView(_DirectCache):
 class _NativeDictCacheView(_ComputedTable):
     """A :class:`_ComputedTable` whose counters include the C kernel's.
 
-    The bounded dict stays functional (the inherited recursive code uses
-    it during python-authority episodes), while ``hits``/``misses``/
-    ``evictions`` and the ``entries`` reported by :meth:`stats` add the C
-    table's totals — the dict-cache analogue of :class:`_NativeCacheView`.
+    ``hits``/``misses``/``evictions`` and the ``entries`` reported by
+    :meth:`stats` add the C table's totals — the dict-cache analogue of
+    :class:`_NativeCacheView`.
     """
 
     __slots__ = ("_handle", "_base")
@@ -266,6 +273,9 @@ class NativeBddManager(ArrayBddManager):
             if _lib is None:
                 raise BddError(f"native BDD kernel unavailable: {reason}")
         super().__init__(auto_reorder, reorder_threshold, max_nodes, cache_bound)
+        self._var = array("i", self._var)
+        self._low = array("i", self._low)
+        self._high = array("i", self._high)
         mgr = _lib.nat_new(-1 if max_nodes is None else max_nodes, cache_bound)
         if not mgr:
             raise BddError("native BDD kernel allocation failed")
@@ -285,22 +295,17 @@ class NativeBddManager(ArrayBddManager):
         self._c_andall = _lib.nat_and_forall
         self._c_restrict = _lib.nat_restrict
         self._c_num_nodes = _lib.nat_num_nodes
-        # authority flags: both sides start empty and coherent
-        self._c_valid = True
-        self._py_tables_valid = True
+        self._swap_info = (ctypes.c_int64 * 2)()
         # per-levels-tuple ctypes arrays, interned alongside _levels_id
         self._levels_c_arrays: dict[tuple[int, ...], tuple] = {}
         # per-assignment ctypes arrays for restrict, interned by pairs
         # tuple; the nonzero intern id stands for the whole assignment in
         # the C cache key (mirroring the Python key's ``pairs`` component)
         self._pairs_c_arrays: dict[tuple[tuple[int, int], ...], tuple] = {}
-        # persistent row-readback buffers (grown on demand): a ctypes
-        # slice-to-list is far cheaper than per-call numpy allocation for
-        # the common few-new-rows case
-        self._pull_cap = 256
-        self._pull_bufs = tuple(
-            (ctypes.c_int32 * self._pull_cap)() for _ in range(3)
-        )
+        # persistent row-readback buffers (grown on demand) and byte
+        # views of them, so mirroring the common few new rows costs no
+        # allocation beyond the appended bytes
+        self._grow_pull_bufs(256)
         # swap the hot computed tables for kernel-aware stat views
         self._not_tab = _NativeCacheView("not", cache_bound, handle, 0)
         self._and_tab = _NativeCacheView("and", cache_bound, handle, 1)
@@ -324,87 +329,43 @@ class NativeBddManager(ArrayBddManager):
         )
 
     # ------------------------------------------------------------------
-    # authority transitions
+    # the read-only row mirror
     # ------------------------------------------------------------------
-    def _upload(self) -> None:
-        """Re-establish C authority: bulk-load rows, order, and budget."""
-        handle = self._kernel
-        n = len(self._var)
-        var_np = np.array(self._var, dtype=np.int32)
-        low_np = np.array(self._low, dtype=np.int32)
-        high_np = np.array(self._high, dtype=np.int32)
-        v2l_np = np.array(self._var2level or [0], dtype=np.int32)
-        handle.lib.nat_load(
-            self._c_mgr,
-            n,
-            var_np.ctypes.data_as(_I32P),
-            low_np.ctypes.data_as(_I32P),
-            high_np.ctypes.data_as(_I32P),
-            len(self._var2level),
-            v2l_np.ctypes.data_as(_I32P),
-            -1 if self._node_cap is None else self._node_cap,
-        )
-        handle.dirty = True
-        self._c_valid = True
-
-    def _ensure_py_tables(self) -> None:
-        """Rebuild the Python unique tables from the (mirrored) rows."""
-        if self._py_tables_valid:
-            return
-        var_np = np.array(self._var, dtype=np.int64)
-        live = np.nonzero(var_np[2:] >= 0)[0] + 2
-        var_live = var_np[live]
-        low_np = np.array(self._low, dtype=np.int64)[live]
-        high_np = np.array(self._high, dtype=np.int64)[live]
-        nvars = len(self._unique)
-        counts = np.bincount(var_live, minlength=nvars) if live.size else None
-        hash_np = (low_np.astype(np.uint64) * np.uint64(_H1)) ^ high_np.astype(
-            np.uint64
-        )
-        packed_np = (low_np << 32) | high_np
-        order = np.argsort(var_live, kind="stable")
-        start = 0
-        for var, ut in enumerate(self._unique):
-            count = int(counts[var]) if counts is not None else 0
-            ut.reset(count)
-            if not count:
-                continue
-            grp = order[start : start + count]
-            start += count
-            mask = ut.mask
-            keys = ut.keys
-            vals = ut.vals
-            homes = (hash_np[grp] & np.uint64(mask)).tolist()
-            for p, j, nid in zip(
-                packed_np[grp].tolist(), homes, live[grp].tolist()
-            ):
-                while keys[j]:
-                    j = (j + 1) & mask
-                keys[j] = p
-                vals[j] = nid
-            ut.size = count
-        self._py_tables_valid = True
+    def _grow_pull_bufs(self, cap: int) -> None:
+        self._pull_cap = cap
+        self._pull_bufs = tuple((ctypes.c_int32 * cap)() for _ in range(3))
+        self._pull_views = tuple(memoryview(b).cast("B") for b in self._pull_bufs)
 
     def _pull_rows(self, n: int) -> None:
         """Mirror rows ``[len(self._var), n)`` from the C kernel."""
         start = len(self._var)
         count = n - start
         if count > self._pull_cap:
-            self._pull_cap = max(count, self._pull_cap * 2)
-            self._pull_bufs = tuple(
-                (ctypes.c_int32 * self._pull_cap)() for _ in range(3)
-            )
+            self._grow_pull_bufs(max(count, self._pull_cap * 2))
         vb, lb, hb = self._pull_bufs
         self._kernel.lib.nat_read_rows(self._c_mgr, start, count, vb, lb, hb)
-        self._var.extend(vb[:count])
-        self._low.extend(lb[:count])
-        self._high.extend(hb[:count])
+        nbytes = 4 * count
+        vv, lv, hv = self._pull_views
+        self._var.frombytes(vv[:nbytes])
+        self._low.frombytes(lv[:nbytes])
+        self._high.frombytes(hv[:nbytes])
         self._nodes_created += count
         live = self._nodes_live + count
         self._nodes_live = live
         if live > self._peak_live:
             self._peak_live = live
-        self._py_tables_valid = False
+
+    def _refresh_mirror(self) -> None:
+        """Replace the row mirror with one bulk read of the C store."""
+        n = self._c_num_nodes(self._c_mgr)
+        rows = [array("i", _ZERO) * n for _ in range(3)]
+        self._kernel.lib.nat_read_rows(
+            self._c_mgr,
+            0,
+            n,
+            *(ctypes.cast(r.buffer_info()[0], _I32P) for r in rows),
+        )
+        self._var, self._low, self._high = rows
 
     def _finish(self, ret: int) -> int:
         """Decode a packed op result; mirror new rows; raise on abort."""
@@ -426,16 +387,21 @@ class NativeBddManager(ArrayBddManager):
     # variables
     # ------------------------------------------------------------------
     def add_var(self, name: str):
-        if self._c_valid:
-            self._kernel.lib.nat_add_var(self._c_mgr)
-        return super().add_var(name)
+        """Declare a new variable at the bottom of the current order."""
+        if name in self._name2var:
+            raise BddError(f"variable {name!r} already declared")
+        self._kernel.lib.nat_add_var(self._c_mgr)
+        var = len(self._names)
+        self._names.append(name)
+        self._name2var[name] = var
+        self._var2level.append(len(self._level2var))
+        self._level2var.append(var)
+        return self._wrap(self._mk(var, FALSE, TRUE))
 
     # ------------------------------------------------------------------
     # node construction / apply operations
     # ------------------------------------------------------------------
     def _mk(self, var: int, low: int, high: int) -> int:
-        if not self._c_valid:
-            return ArrayBddManager._mk(self, var, low, high)
         # unlike the apply loops, a _mk can create at most one row and
         # its contents are exactly the arguments — mirror it directly
         # instead of reading it back across the FFI (the structured-key
@@ -460,27 +426,18 @@ class NativeBddManager(ArrayBddManager):
             self._nodes_live = live
             if live > self._peak_live:
                 self._peak_live = live
-            self._py_tables_valid = False
         return ret & 0xFFFFFFFF
 
     def _not(self, f: int) -> int:
-        if not self._c_valid:
-            self._upload()
         return self._finish(self._c_not(self._c_mgr, f))
 
     def _and(self, f: int, g: int) -> int:
-        if not self._c_valid:
-            self._upload()
         return self._finish(self._c_and(self._c_mgr, f, g))
 
     def _or(self, f: int, g: int) -> int:
-        if not self._c_valid:
-            self._upload()
         return self._finish(self._c_or(self._c_mgr, f, g))
 
     def _xor(self, f: int, g: int) -> int:
-        if not self._c_valid:
-            self._upload()
         return self._finish(self._c_xor(self._c_mgr, f, g))
 
     def _levels_c(self, levels: tuple[int, ...]):
@@ -494,8 +451,6 @@ class NativeBddManager(ArrayBddManager):
     def _exists(self, f: int, levels: tuple[int, ...]) -> int:
         if f <= TRUE or not levels:
             return f
-        if not self._c_valid:
-            self._upload()
         arr, lid = self._levels_c(levels)
         return self._finish(
             self._c_exists(self._c_mgr, f, arr, len(levels), lid)
@@ -504,8 +459,6 @@ class NativeBddManager(ArrayBddManager):
     def _and_exists(self, f: int, g: int, levels: tuple[int, ...]) -> int:
         if not levels:
             return self._and(f, g)
-        if not self._c_valid:
-            self._upload()
         arr, lid = self._levels_c(levels)
         return self._finish(
             self._c_andex(self._c_mgr, f, g, arr, len(levels), lid)
@@ -514,8 +467,6 @@ class NativeBddManager(ArrayBddManager):
     def _and_forall(self, f: int, g: int, levels: tuple[int, ...]) -> int:
         if not levels:
             return self._and(f, g)
-        if not self._c_valid:
-            self._upload()
         arr, lid = self._levels_c(levels)
         return self._finish(
             self._c_andall(self._c_mgr, f, g, arr, len(levels), lid)
@@ -535,33 +486,107 @@ class NativeBddManager(ArrayBddManager):
     ) -> int:
         if f <= TRUE or start >= len(pairs):
             return f
-        if not self._c_valid:
-            self._upload()
         arr, pid = self._pairs_c(pairs)
         return self._finish(
             self._c_restrict(self._c_mgr, f, arr, len(pairs), start, pid)
         )
 
     # ------------------------------------------------------------------
-    # maintenance: these run the inherited array-kernel machinery under
-    # python authority, then leave the C kernel to re-upload lazily
+    # maintenance: collection and level swaps run in the C kernel
     # ------------------------------------------------------------------
+    @traced_gc
     def garbage_collect(self) -> int:
-        self._ensure_py_tables()
-        self._c_valid = False
-        reclaimed = super().garbage_collect()
-        self._py_tables_valid = True
+        """Collect in the C kernel; the array kernel's bookkeeping after.
+
+        ``nat_gc`` marks from the externally referenced roots, sweeps, and
+        compacts once dead rows reach half the store (with the array
+        kernel's outcome), dropping the C caches.  Python then refreshes
+        the row mirror and, on compaction, remaps ``_extref`` and every
+        live handle through the new ids written over the root array.
+        Returns the number of nodes reclaimed.
+        """
+        roots = [f for f, c in self._extref.items() if c > 0]
+        ids = (ctypes.c_int32 * len(roots))(*roots)
+        ret = self._kernel.lib.nat_gc(self._c_mgr, ids, len(roots))
+        reclaimed = ret >> 1
+        self._refresh_mirror()
+        if ret & 1:
+            # pin the live handles first: none may be collected (and drop
+            # a refcount against a stale id) halfway through the remap
+            handles = [h for h in (r() for r in self._handles) if h is not None]
+            self._handles = [weakref.ref(h) for h in handles]
+            self._handles_purge_at = max(1024, 2 * len(handles))
+            remap = dict(zip(roots, ids))
+            self._extref = {
+                remap[f]: c for f, c in self._extref.items() if c > 0
+            }
+            for handle in handles:
+                handle.id = remap[handle.id]
+            self._dead_rows = 0
+        else:
+            self._dead_rows += reclaimed
+        if self.max_nodes is not None:
+            self._node_cap = self.max_nodes + self._dead_rows
+        self._nodes_live -= reclaimed
+        self._gc_runs += 1
+        self._gc_reclaimed += reclaimed
+        # the kernel dropped its own caches
+        ArrayBddManager._invalidate_caches(self)
+        self._kernel.dirty = True
         return reclaimed
 
     def swap_levels(self, level: int) -> None:
-        self._ensure_py_tables()
-        self._c_valid = False
-        super().swap_levels(level)
-        self._py_tables_valid = True
+        """Swap the variables at ``level`` and ``level + 1`` in the C kernel.
+
+        Same contract as the array kernel (ids preserved, the same
+        ``_mk`` order and budget checks); the mirror takes the new rows
+        and re-reads only the rewritten ones.
+        """
+        if not 0 <= level < len(self._level2var) - 1:
+            raise BddError(f"cannot swap level {level}")
+        upper = self._level2var[level]
+        lower = self._level2var[level + 1]
+        info = self._swap_info
+        lib = self._kernel.lib
+        status = lib.nat_swap_levels(self._c_mgr, level, upper, lower, info)
+        self._kernel.dirty = True
+        planned, done = info[0], info[1]
+        self._nodes_live -= planned
+        self._level2var[level], self._level2var[level + 1] = lower, upper
+        self._var2level[upper] = level + 1
+        self._var2level[lower] = level
+        n = self._c_num_nodes(self._c_mgr)
+        if n > len(self._var):
+            self._pull_rows(n)
+        if done:
+            ids, lows, highs = ((ctypes.c_int32 * done)() for _ in range(3))
+            lib.nat_read_swapped(self._c_mgr, done, ids, lows, highs)
+            var_ = self._var
+            low_ = self._low
+            high_ = self._high
+            for nid, lo, hi in zip(ids, lows, highs):
+                var_[nid] = lower
+                low_[nid] = lo
+                high_[nid] = hi
+            live = self._nodes_live + done
+            self._nodes_live = live
+            if live > self._peak_live:
+                self._peak_live = live
+        if status == -1:
+            raise ResourceLimitError(
+                f"BDD node budget exceeded ({self.max_nodes} nodes)"
+            )
+        if status == -2:
+            raise BddError("unique-table collision during swap; manager corrupted")
+        self._level_swaps += 1
+        # the kernel dropped its own caches
+        ArrayBddManager._invalidate_caches(self)
 
     def level_sizes(self) -> list[int]:
-        self._ensure_py_tables()
-        return super().level_sizes()
+        """Unique-table size per level, read from the C kernel."""
+        out = (ctypes.c_int64 * len(self._level2var))()
+        self._kernel.lib.nat_level_sizes(self._c_mgr, out)
+        return list(out)
 
     def _invalidate_caches(self) -> None:
         self._kernel.invalidate_caches()

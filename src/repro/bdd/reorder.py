@@ -11,6 +11,7 @@ preserve node ids, client handles survive reordering untouched.
 from __future__ import annotations
 
 from repro.bdd.manager import BddManager
+from repro.obs.trace import span
 
 
 def sift(manager: BddManager, max_growth: float = 2.0) -> int:
@@ -32,7 +33,10 @@ def sift(manager: BddManager, max_growth: float = 2.0) -> int:
     vars_by_priority = [manager._level2var[lv] for lv in order]
 
     for var in vars_by_priority:
-        _sift_one(manager, var, max_growth)
+        with span("bdd.swap", var=manager._names[var]) as sp:
+            swaps = manager._level_swaps
+            _sift_one(manager, var, max_growth)
+            sp.set(swaps=manager._level_swaps - swaps)
         # Swaps strand the rewritten nodes' old children in the unique
         # tables; without a sweep every subsequent journey re-processes
         # the corpses and table size doubles per variable (measured:

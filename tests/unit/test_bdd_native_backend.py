@@ -6,8 +6,10 @@ under ``REPRO_BDD_BACKEND=native`` in CI) and the fuzzer's three-way
 to the native backend: the lazy build/loader (content-addressed
 artifacts, compiler-missing fallback, stale-artifact rebuild), the
 bit-identity contract at its sharpest points (node-id traces,
-budget-abort timing), the dual-authority sync around GC/reordering, and
-the uniform backend-resolution precedence every entry point shares.
+budget-abort timing), garbage collection and level swaps inside the
+kernel (parity with the array kernel, and no Python-side unique tables
+or store re-uploads), and the uniform backend-resolution precedence
+every entry point shares.
 
 Tests that need the compiled kernel skip on environments without one —
 the fallback path itself is tested compiler-or-not.
@@ -22,10 +24,12 @@ import pytest
 from repro.bdd import BACKENDS, BddManager, backend_of, create_manager
 from repro.bdd._native import build as native_build
 from repro.bdd.api import BACKEND_ENV, backend_resolution
-from repro.bdd.array_backend import ArrayBddManager
+from repro.bdd.array_backend import ArrayBddManager, _UniqueTable
 from repro.bdd.native_backend import create_native_manager, native_status
+from repro.bdd.reorder import sift
 from repro.errors import BddError, ResourceLimitError
 from repro.obs.metrics import REGISTRY
+from repro.obs.trace import tracing
 
 HAVE_KERNEL = native_status()[0]
 
@@ -99,6 +103,19 @@ class TestBuild:
         # exit code 0 semantics: analyses still run on the fallback kernel
         a, b = manager.add_var("a"), manager.add_var("b")
         assert (a & b).id == manager._and(a.id, b.id)
+
+    def test_sanitizer_build_is_addressed_separately(self, monkeypatch):
+        monkeypatch.delenv(native_build.SANITIZE_ENV, raising=False)
+        plain_path = native_build.artifact_path()
+        plain_digest = native_build.source_digest()
+        monkeypatch.setenv(native_build.SANITIZE_ENV, "1")
+        flags = native_build.build_flags()
+        assert "-fsanitize=address,undefined" in flags
+        assert "-fno-omit-frame-pointer" in flags
+        # the flags are hashed: neither build can shadow the other
+        assert native_build.source_digest() != plain_digest
+        assert native_build.artifact_path() != plain_path
+        assert native_build.artifact_path().name.startswith("libreprobdd-san-")
 
     def test_compiler_env_override_is_surfaced(self, isolated_loader, monkeypatch):
         monkeypatch.setenv(native_build.CC_ENV, "/no/such/compiler")
@@ -315,6 +332,90 @@ class TestMaintenanceParity:
             results.append((trace, [m.sat_count(h) for h in keep]))
         assert results[0] == results[1]
 
+    def test_large_store_gc_swap_parity(self, monkeypatch):
+        """Array vs native on a store big enough for the array kernel's
+        vectorized mark, sweep and rehash paths (> 4096 rows, a unique
+        table of 8192 slots): a sweep-only collection, a budget abort at
+        the post-sweep cap ``max_nodes + dead_rows``, a compacting
+        collection, swaps and level sizes — node ids, row counts and
+        bookkeeping equal step for step."""
+        runs = []
+        for make in (ArrayBddManager, create_native_manager):
+            m = make(max_nodes=12_300)
+            if make is ArrayBddManager:
+                runs.append(_large_store_script(m))
+                assert max(t.mask for t in m._unique) >= 2048
+                continue
+            reads = _forbid_python_authority(monkeypatch, m)
+            runs.append(_large_store_script(m, reads))
+            # the kernel owns the unique tables: Python never built one
+            assert m._unique == []
+            with pytest.raises(AttributeError):
+                m._kernel.lib.nat_load
+        assert runs[0] == runs[1]
+        events = [e for e in runs[0] if isinstance(e, tuple)]
+        rows = events[0][1]
+        assert rows > 4096
+        sweep, abort, compaction = [e for e in events if e[0] in ("gc", "abort")][:3]
+        # a sweep leaves its dead rows in place ...
+        assert sweep[2] == rows and sweep[3] == sweep[1] > 0
+        # ... and the abort waits for the cap the sweep raised
+        assert abort[0] == "abort" and abort[2] == 12_300 + sweep[3] + 1
+        assert compaction[3] == 0 and compaction[2] < abort[2]
+
+    @pytest.mark.parametrize("max_nodes", [5700, 6150, 6420, 6690])
+    def test_collection_after_aborted_swap_matches_array(self, max_nodes):
+        """A swap that trips the budget leaves rows in no unique table;
+        the collections after it must still match the array kernel's."""
+        runs = []
+        for make in (ArrayBddManager, create_native_manager):
+            m = make(max_nodes=max_nodes)
+            xs = [m.add_var(f"x{i}") for i in range(9)]
+            ys = [m.add_var(f"y{i}") for i in range(9)]
+            eq = m.true
+            for x, y in zip(xs, ys):
+                eq = eq & ~(x ^ y)
+            # garbage in the swapped levels: unreachable rows the aborted
+            # swap takes out of their table and never puts back
+            junk = [eq ^ x for x in xs]
+            del junk
+            events = []
+            with pytest.raises(ResourceLimitError):
+                for level in (8, 9, 7, 10, 6, 11, 5):
+                    m.swap_levels(level)
+                    events.append(tuple(m.level_sizes()))
+            for _ in range(2):
+                events.append((m.garbage_collect(), tuple(m.level_sizes())))
+            events.append((tuple(m._var), tuple(m._low), tuple(m._high)))
+            runs.append(events)
+        assert runs[0] == runs[1]
+
+    def test_sift_parity(self):
+        results = []
+        for m in _managers():
+            n = 6
+            xs = [m.add_var(f"x{i}") for i in range(n)]
+            ys = [m.add_var(f"y{i}") for i in range(n)]
+            eq = m.true
+            for x, y in zip(xs, ys):
+                eq = eq & ~(x ^ y)
+            g = (xs[0] & ys[5]) | (xs[3] ^ ys[1])
+            live = sift(m)
+            results.append(
+                (
+                    live,
+                    m.current_order(),
+                    m.level_sizes(),
+                    m.sat_count(eq),
+                    m.sat_count(g),
+                    m.statistics()["nodes_created"],
+                    m.statistics()["level_swaps"],
+                )
+            )
+        assert results[0] == results[1] == results[2]
+        # the separated order x0..x5 y0..y5 must have been interleaved
+        assert results[0][1][:2] == ["x0", "y0"]
+
     def test_statistics_shape_matches_other_kernels(self):
         obj, nat = BddManager(), create_native_manager()
         for m in (obj, nat):
@@ -333,6 +434,121 @@ class TestMaintenanceParity:
         m.reset_statistics()
         stats = m.statistics()
         assert stats["cache_hits"] == 0 and stats["cache_misses"] == 0
+
+
+def _large_store_script(m, reads=None):
+    """The maintenance script of the large-store parity test."""
+    events = []
+
+    def gc():
+        if reads is not None:
+            reads.clear()
+        events.append(
+            ("gc", m.garbage_collect(), len(m._var), m._dead_rows, m._node_cap)
+        )
+        if reads is not None:
+            # one bulk read of the whole store refreshes the mirror
+            assert reads == [(0, len(m._var))]
+
+    n = 11
+    xs = [m.add_var(f"x{i}") for i in range(n)]
+    ys = [m.add_var(f"y{i}") for i in range(n)]
+    # x0..x10 above y0..y10: the equality has 2^11 nodes at level 11
+    eq = m.true
+    for x, y in zip(xs, ys):
+        eq = eq & ~(x ^ y)
+    events.append(("rows", len(m._var), max(m.level_sizes())))
+    gc()  # the chain's intermediate products: sweep only
+    try:
+        for k in range(n):
+            f = m.false
+            for x, y in zip(xs, ys):
+                f = f | (x & ~y) ^ xs[k]
+                events.append(f.id)
+    except ResourceLimitError as exc:
+        events.append(("abort", k, len(m._var), str(exc)))
+    del f
+    gc()  # compacting: the dead rows now outnumber the live ones
+    for level in (10, 11, 9, 3, 20):
+        rows = len(m._var)
+        if reads is not None:
+            reads.clear()
+        m.swap_levels(level)
+        if reads is not None:
+            # a swap reads back its new rows only, never the whole store
+            assert all(start >= rows for start, _ in reads)
+        events.append(("sizes", tuple(m.level_sizes()), len(m._var)))
+    # the swaps created their nodes in the same order: equal rows, ids
+    events.append(("store", tuple(m._var), tuple(m._low), tuple(m._high)))
+    gc()
+    events.append(("sizes", tuple(m.level_sizes())))
+    stats = m.statistics()
+    events.append(
+        (
+            "final",
+            stats["nodes_created"],
+            stats["peak_live_nodes"],
+            stats["live_nodes"],
+            stats["gc_runs"],
+            stats["gc_reclaimed"],
+            stats["level_swaps"],
+            m.sat_count(eq),
+        )
+    )
+    return events
+
+
+def _forbid_python_authority(monkeypatch, m):
+    """Make any array-kernel maintenance path or Python unique-table use
+    fail, and record the row reads ``m`` makes across the FFI."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("Python-authority round trip")
+
+    for name in ("garbage_collect", "swap_levels", "level_sizes", "_mk"):
+        monkeypatch.setattr(ArrayBddManager, name, forbidden)
+    for name in ("insert", "reset", "grow", "rebuild"):
+        monkeypatch.setattr(_UniqueTable, name, forbidden)
+    lib = m._kernel.lib
+    read_rows = lib.nat_read_rows
+    reads = []
+
+    def recording(mgr, start, count, *bufs):
+        reads.append((start, count))
+        return read_rows(mgr, start, count, *bufs)
+
+    monkeypatch.setattr(lib, "nat_read_rows", recording)
+    return reads
+
+
+# ----------------------------------------------------------------------
+# trace spans: collection and sifting show as layers of their own
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_gc_and_sift_emit_spans(backend):
+    if backend == "native" and not HAVE_KERNEL:
+        pytest.skip("native kernel unavailable (no C compiler?)")
+    m = create_manager(backend)
+    xs = [m.add_var(f"x{i}") for i in range(4)]
+    f = xs[0] & xs[3]
+    junk = [(xs[1] ^ xs[2]) | (xs[0] ^ xs[3]), xs[1] & ~xs[2] ^ xs[3]]
+    del junk
+    rows = len(m._var)
+    with tracing() as trace:
+        reclaimed = m.garbage_collect()
+        sift(m)
+    spans = [sp for sp, _depth in trace.walk()]
+    gc = next(sp for sp in spans if sp.name == "bdd.gc")
+    assert gc.attrs == {
+        "rows": rows,
+        "reclaimed": reclaimed,
+        "compacted": backend != "object",  # half the rows died here
+    }
+    assert reclaimed > 0
+    swaps = [sp for sp in spans if sp.name == "bdd.swap"]
+    assert len(swaps) == 4
+    assert {sp.attrs["var"] for sp in swaps} == {"x0", "x1", "x2", "x3"}
+    assert sum(sp.attrs["swaps"] for sp in swaps) == m.statistics()["level_swaps"]
 
 
 # ----------------------------------------------------------------------
