@@ -175,7 +175,7 @@ def script_tasks(methods=None, circuits=None, backend=None):
     ``methods`` / ``circuits`` filter the grid (``None`` = everything);
     ``backend`` selects the BDD kernel for the BDD-bound methods (exact,
     approx1) — this is what the ``check_bdd_engine_regression.py
-    --array-backend`` gate drives to compare the kernels on identical
+    --native-backend`` gate drives to compare the kernels on identical
     row sets.
     """
     from repro.parallel import CircuitRef, estimate_cost, required_time_task
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["object", "array", "native"],
+        choices=["object", "native"],
         default=None,
         help="BDD kernel for the exact/approx1 rows "
              "(default: $REPRO_BDD_BACKEND, then the repro default)",

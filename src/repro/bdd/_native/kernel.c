@@ -1,16 +1,16 @@
 /* kernel.c — the native BDD apply kernel (backend name "native").
  *
  * A single self-contained translation unit compiled on demand by
- * repro.bdd._native.build (cc -O2 -fPIC -shared).  It reimplements the
- * hot apply/quantify loops of the array backend over the same packed-int
- * memory layout: parallel (var, low, high) node arrays with terminals at
- * ids 0/1, per-variable open-addressed unique tables keyed by
+ * repro.bdd._native.build (cc -O2 -fPIC -shared).  It implements the
+ * hot apply/quantify loops of the BDD manager over a packed-int memory
+ * layout: parallel (var, low, high) node arrays with terminals at ids
+ * 0/1, per-variable open-addressed unique tables keyed by
  * (low << 32) | high with linear probing, and direct-mapped computed
  * caches per operation.
  *
  * Bit-identity contract (enforced by the parity fuzz check and the
  * --native-backend regression gate): the *node-creation sequence* and the
- * *budget-abort point* are identical to the object and array kernels.
+ * *budget-abort point* are identical to the object kernel's.
  * Both are determined purely by the traversal structure — low cofactor
  * fully before high, the exists/forall short-circuits, XOR's nested NOT
  * at the TRUE-cofactor sequence point, and the node-cap check performed
@@ -18,8 +18,8 @@
  * policy (probe points, sizing, eviction) is free: a cache miss on an
  * already-computed subproblem only recomputes canonical intermediate
  * results that the unique tables dedupe, creating no new nodes.  The
- * machines below therefore probe at expand time (simpler than the array
- * kernel's deferred probes) without affecting parity.
+ * machines below therefore probe at expand time without affecting
+ * parity.
  *
  * Budget aborts are reported by returning -1 through every machine; the
  * Python wrapper (repro.bdd.native_backend) raises ResourceLimitError
@@ -27,11 +27,13 @@
  *
  * The kernel is the single authority over its memory: garbage collection
  * (nat_gc) and adjacent level swaps (nat_swap_levels) run here too, and
- * the Python side only mirrors rows read back from C.  The unique tables
- * follow the array kernel's _UniqueTable slot for slot (tombstones, the
- * growth, rebuild and never-shrink reset policies), so the slot order a
- * level swap walks — and with it the order of the nodes the swap
- * creates — is the array kernel's as well.
+ * the Python side only mirrors rows read back from C.  Collections
+ * and swaps keep every function, node count and level size of the
+ * object kernel, but not its ids: a collection compacts rows the object
+ * kernel would recycle through a free list, and a swap walks its table
+ * in slot order rather than the object kernel's insertion order.  A
+ * table a collection or swap resets is sized for its survivors, so
+ * tables shrink with the store.
  */
 
 #include <stdint.h>
@@ -193,17 +195,18 @@ static void ut_rehash(UT *t, u64 slots) {
 
 static void ut_grow(UT *t) {
     u64 slots = t->mask + 1;
-    /* mid-size tables quadruple, large tables double (array-kernel policy) */
+    /* mid-size tables quadruple (fewer rehashes while a table climbs),
+     * large tables double (bounded slot memory) */
     slots <<= (slots >= ((u64)1 << 16)) ? 1 : 2;
     ut_rehash(t, slots);
 }
 
-/* empty the table, sized for `capacity` entries but never shrunk */
+/* empty the table, sized for `capacity` entries at half load */
 static void ut_reset(UT *t, i64 capacity) {
     u64 slots = pow2_at_least((u64)(capacity * 2 < 8 ? 8 : capacity * 2));
-    if (slots <= t->mask + 1) {
+    if (slots == t->mask + 1) {
         /* vals are read only under a matching key: clearing keys is enough */
-        memset(t->keys, 0, (t->mask + 1) * sizeof(u64));
+        memset(t->keys, 0, slots * sizeof(u64));
     } else {
         free(t->keys);
         free(t->vals);
@@ -229,7 +232,7 @@ static i32 ut_lookup(const UT *t, i32 low, i32 high) {
 }
 
 /* insert an entry known to be absent; unlike mk, this reuses the first
- * tombstone on the probe path (the array kernel's _UniqueTable.insert) */
+ * tombstone on the probe path */
 static void ut_insert(UT *t, i32 low, i32 high, i32 id) {
     u64 key = ((u64)(u32)low << 32) | (u32)high;
     u64 j = ut_home(key, t->mask);
@@ -276,7 +279,8 @@ static void cache_clear(Cache *c) {
 }
 
 /* grow between top-level ops at 25% load, quadrupling, discarding the
- * resident entries — the array kernel's maybe_grow policy */
+ * resident entries (cheaper than rehashing; each table grows at most a
+ * few times) */
 static void cache_maybe_grow(Cache *c) {
     u64 slots = c->mask + 1;
     if ((u64)c->count * 4 >= slots && slots < c->max_slots) {
@@ -459,7 +463,7 @@ static i64 mk(Mgr *m, i32 var, i32 low, i32 high) {
         j = (j + 1) & mask;
     }
     /* the budget check runs only when a new node is about to be created
-     * — the same sequence point as the object/array kernels, which is
+     * — the same sequence point as the object kernel, which is
      * what makes the abort visit bit-identical */
     if (m->n > m->node_cap)
         return -1;
@@ -1133,10 +1137,9 @@ i64 nat_restrict(Mgr *m, i32 f, const i32 *pairs, i32 npairs, i32 start,
  * moves.  Once the dead rows accumulated since the last compaction reach
  * half the store, compact: renumber the marked rows densely in id order
  * (terminals stay at 0/1), rebuild every table from the survivors, and
- * rewrite `roots` in place to the new ids.  The outcome is that of
- * ArrayBddManager.garbage_collect, slot for slot; work a compaction
- * discards anyway (tombstoning, zeroing the dead rows, rehashing) is
- * skipped when one follows.  The node cap becomes max_nodes + dead rows
+ * rewrite `roots` in place to the new ids.  Work a compaction discards
+ * anyway (tombstoning, zeroing the dead rows, rehashing) is skipped
+ * when one follows.  The node cap becomes max_nodes + dead rows
  * and the computed caches are dropped.
  * Returns (reclaimed << 1) | compacted. */
 i64 nat_gc(Mgr *m, i32 *roots, i64 nroots) {
@@ -1267,7 +1270,7 @@ i64 nat_gc(Mgr *m, i32 *roots, i64 nroots) {
 /* ------------------------------------------------------------------ */
 
 /* Swap variable `upper` at `level` with variable `lower` at level + 1 in
- * place, as ArrayBddManager.swap_levels does: walk the upper table's
+ * place, as BddManager.swap_levels does: walk the upper table's
  * residents in slot order, take out the ones with a child labelled
  * `lower` and reinsert the rest into the reset table, exchange the two
  * levels, then rewrite each taken row in turn — mk its two new
@@ -1275,7 +1278,7 @@ i64 nat_gc(Mgr *m, i32 *roots, i64 nroots) {
  * `lower` and enter it in the lower table.  Ids are preserved.
  * info[0] receives the number of rows to rewrite, info[1] the number
  * rewritten (nat_read_swapped reads them back).  Returns 0, -1 on a
- * budget abort (levels already exchanged, as in the array kernel) or -2
+ * budget abort (levels already exchanged, as in the object kernel) or -2
  * on a unique-table collision. */
 i64 nat_swap_levels(Mgr *m, i32 level, i32 upper, i32 lower, i64 *info) {
     UT *up = &m->ut[upper];

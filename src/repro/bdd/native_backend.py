@@ -1,15 +1,17 @@
 """The native-kernel BDD manager (backend name ``"native"``).
 
-:class:`NativeBddManager` subclasses the array backend and runs every
-operation that creates, frees or moves nodes in the C kernel in
-``_native/kernel.c`` (built lazily by :mod:`repro.bdd._native.build`):
-the apply/quantify/restrict loops, ``_mk``, garbage collection
-(``nat_gc``) and adjacent level swaps (``nat_swap_levels``).  The C kernel
-owns the same packed-int layout and the same unique-table slot policy as
-the array backend and produces bit-identical node-creation sequences and
-budget-abort points, so every consumer — the χ engines, enumeration
-helpers, :mod:`repro.bdd.minimal`, the reorderer — keeps working
-unchanged.
+:class:`NativeBddManager` subclasses the object kernel's
+:class:`~repro.bdd.manager.BddManager` and runs every operation that
+creates, frees or moves nodes in the C kernel in ``_native/kernel.c``
+(built lazily by :mod:`repro.bdd._native.build`): the
+apply/quantify/restrict loops, ``_mk``, garbage collection (``nat_gc``)
+and adjacent level swaps (``nat_swap_levels``).  Up to the first
+collection the C loops create the object kernel's nodes in the object
+kernel's order and hit a node budget at the same visit, so node ids
+match; after collections and swaps the ids differ but every function,
+node count and level size still does.  The inherited cold operations
+(``ite``, ``compose``), enumeration helpers, :mod:`repro.bdd.minimal`
+and the reorderer run unchanged on top.
 
 The C kernel is the single authority over the node store.  Python keeps
 a read-only mirror of the rows in ``_var``/``_low``/``_high`` for its
@@ -28,10 +30,9 @@ follows the kernel at three points:
 
 Python never builds unique tables and never re-uploads the store.
 
-Statistics stay truthful: the eight hot computed tables (seven
-direct-mapped :class:`_NativeCacheView` objects plus the dict-style
-restrict view) transparently add the C kernel's totals, so
-``statistics()``, the ``bdd.*`` telemetry collector, and
+Statistics stay truthful: the eight hot computed tables live in C, and
+a :class:`_KernelCacheView` stands in for each of them in ``_tables``,
+so ``statistics()``, the ``bdd.*`` telemetry collector, and
 ``reset_statistics()`` need no special cases.
 """
 
@@ -44,12 +45,12 @@ import weakref
 from array import array
 
 from repro.bdd._native.build import load_kernel
-from repro.bdd.array_backend import ArrayBddManager, _DirectCache
 from repro.bdd.manager import (
     DEFAULT_CACHE_BOUND,
     FALSE,
     TRUE,
-    _ComputedTable,
+    BddManager,
+    BddNode,
     traced_gc,
 )
 from repro.errors import BddError, ResourceLimitError
@@ -77,16 +78,16 @@ def _note_fallback(reason: str) -> None:
     REGISTRY.counter("bdd.native.fallback").inc()
     if reason not in _WARNED:
         _WARNED.add(reason)
-        log.warning("native BDD kernel unavailable (%s); using array kernel", reason)
+        log.warning("native BDD kernel unavailable (%s); using object kernel", reason)
 
 
 def create_native_manager(**kwargs):
-    """A :class:`NativeBddManager`, or the array fallback when the
-    kernel cannot be built/loaded (missing compiler, failed compile)."""
+    """A :class:`NativeBddManager`, or the object-kernel fallback when
+    the kernel cannot be built/loaded (missing compiler, failed compile)."""
     lib, reason = load_kernel()
     if lib is None:
         _note_fallback(reason or "unknown")
-        return ArrayBddManager(**kwargs)
+        return BddManager(**kwargs)
     return NativeBddManager(_lib=lib, **kwargs)
 
 
@@ -143,121 +144,54 @@ class _KernelHandle:
         self.dirty = False
 
 
-class _NativeCacheView(_DirectCache):
-    """A :class:`_DirectCache` whose counters include the C kernel's.
+class _KernelCacheView:
+    """The statistics face of one of the C kernel's computed tables.
 
-    The ``hits``/``misses``/``evictions``/``entries`` surface adds the C
-    table's totals to the (idle) Python share — so ``statistics()`` and
-    the ``bdd.*`` telemetry extractor read truthful numbers without
-    knowing about the kernel, and ``reset_counters`` zeroes the sum.
+    ``hits``/``misses``/``evictions`` and the ``entries`` of :meth:`stats`
+    read the kernel's counters, so ``statistics()`` and the ``bdd.*``
+    telemetry extractor need no special cases.  The table itself lives in
+    C: :meth:`clear` and :meth:`reset_counters` are no-ops because the
+    kernel drops its tables on collections and swaps, and
+    ``nat_reset_stats`` zeroes its counters.
     """
 
-    __slots__ = ("_handle", "_base")
+    __slots__ = ("name", "_handle", "_base")
 
-    def __init__(self, name: str, bound: int, handle: _KernelHandle, index: int):
+    def __init__(self, name: str, handle: _KernelHandle, index: int):
+        self.name = name
         self._handle = handle
         self._base = index * 4
-        super().__init__(name, bound)
-
-    # the base-class __slots__ descriptors are shadowed by these
-    # properties; the Python-side share lives in the inherited slots via
-    # object.__setattr__-free plain attribute names suffixed below.
 
     @property
-    def hits(self) -> int:  # type: ignore[override]
-        return _DirectCache.hits.__get__(self) + self._handle.read()[self._base]
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        _DirectCache.hits.__set__(self, value - self._handle.read()[self._base])
+    def hits(self) -> int:
+        return self._handle.read()[self._base]
 
     @property
-    def misses(self) -> int:  # type: ignore[override]
-        return _DirectCache.misses.__get__(self) + self._handle.read()[self._base + 1]
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        _DirectCache.misses.__set__(
-            self, value - self._handle.read()[self._base + 1]
-        )
+    def misses(self) -> int:
+        return self._handle.read()[self._base + 1]
 
     @property
-    def evictions(self) -> int:  # type: ignore[override]
-        return _DirectCache.evictions.__get__(self) + self._handle.read()[
-            self._base + 2
-        ]
+    def evictions(self) -> int:
+        return self._handle.read()[self._base + 2]
 
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        _DirectCache.evictions.__set__(
-            self, value - self._handle.read()[self._base + 2]
-        )
+    def clear(self) -> None:
+        pass
 
-    @property
-    def count(self) -> int:  # type: ignore[override]
-        return _DirectCache.count.__get__(self) + self._handle.read()[self._base + 3]
-
-    @count.setter
-    def count(self, value: int) -> None:
-        _DirectCache.count.__set__(self, value - self._handle.read()[self._base + 3])
-
-
-class _NativeDictCacheView(_ComputedTable):
-    """A :class:`_ComputedTable` whose counters include the C kernel's.
-
-    ``hits``/``misses``/``evictions`` and the ``entries`` reported by
-    :meth:`stats` add the C table's totals — the dict-cache analogue of
-    :class:`_NativeCacheView`.
-    """
-
-    __slots__ = ("_handle", "_base")
-
-    def __init__(self, name: str, bound: int, handle: _KernelHandle, index: int):
-        self._handle = handle
-        self._base = index * 4
-        super().__init__(name, bound)
-
-    @property
-    def hits(self) -> int:  # type: ignore[override]
-        return _ComputedTable.hits.__get__(self) + self._handle.read()[self._base]
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        _ComputedTable.hits.__set__(self, value - self._handle.read()[self._base])
-
-    @property
-    def misses(self) -> int:  # type: ignore[override]
-        return (
-            _ComputedTable.misses.__get__(self)
-            + self._handle.read()[self._base + 1]
-        )
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        _ComputedTable.misses.__set__(
-            self, value - self._handle.read()[self._base + 1]
-        )
-
-    @property
-    def evictions(self) -> int:  # type: ignore[override]
-        return (
-            _ComputedTable.evictions.__get__(self)
-            + self._handle.read()[self._base + 2]
-        )
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        _ComputedTable.evictions.__set__(
-            self, value - self._handle.read()[self._base + 2]
-        )
+    def reset_counters(self) -> None:
+        pass
 
     def stats(self) -> dict[str, int]:
-        out = _ComputedTable.stats(self)
-        out["entries"] = len(self.table) + self._handle.read()[self._base + 3]
-        return out
+        base = self._base
+        hits, misses, evictions, entries = self._handle.read()[base : base + 4]
+        return {
+            "hits": hits,
+            "misses": misses,
+            "evictions": evictions,
+            "entries": entries,
+        }
 
 
-class NativeBddManager(ArrayBddManager):
+class NativeBddManager(BddManager):
     """The C-kernel BDD manager; see the module docstring."""
 
     def __init__(
@@ -296,25 +230,31 @@ class NativeBddManager(ArrayBddManager):
         self._c_restrict = _lib.nat_restrict
         self._c_num_nodes = _lib.nat_num_nodes
         self._swap_info = (ctypes.c_int64 * 2)()
-        # per-levels-tuple ctypes arrays, interned alongside _levels_id
+        # per-levels-tuple and per-assignment ctypes arrays, each interned
+        # with a small nonzero id that stands for the whole tuple in the
+        # C cache keys
         self._levels_c_arrays: dict[tuple[int, ...], tuple] = {}
-        # per-assignment ctypes arrays for restrict, interned by pairs
-        # tuple; the nonzero intern id stands for the whole assignment in
-        # the C cache key (mirroring the Python key's ``pairs`` component)
         self._pairs_c_arrays: dict[tuple[tuple[int, int], ...], tuple] = {}
+        # One weakref per live handle, so a compacting collection can
+        # remap their ids.  A WeakSet would be wrong here: BddNode
+        # compares (and hashes) by node id, so distinct handle objects
+        # sharing an id would be deduplicated and all but one would miss
+        # the remap.
+        self._handles: list["weakref.ref[BddNode]"] = []
+        self._handles_purge_at = 1024
         # persistent row-readback buffers (grown on demand) and byte
         # views of them, so mirroring the common few new rows costs no
         # allocation beyond the appended bytes
         self._grow_pull_bufs(256)
-        # swap the hot computed tables for kernel-aware stat views
-        self._not_tab = _NativeCacheView("not", cache_bound, handle, 0)
-        self._and_tab = _NativeCacheView("and", cache_bound, handle, 1)
-        self._or_tab = _NativeCacheView("or", cache_bound, handle, 2)
-        self._xor_tab = _NativeCacheView("xor", cache_bound, handle, 3)
-        self._exists_tab = _NativeCacheView("exists", cache_bound, handle, 4)
-        self._andex_tab = _NativeCacheView("and_exists", cache_bound, handle, 5)
-        self._andall_tab = _NativeCacheView("and_forall", cache_bound, handle, 6)
-        self._restrict_tab = _NativeDictCacheView("restrict", cache_bound, handle, 7)
+        # the hot computed tables live in C; these views report them
+        self._not_tab = _KernelCacheView("not", handle, 0)
+        self._and_tab = _KernelCacheView("and", handle, 1)
+        self._or_tab = _KernelCacheView("or", handle, 2)
+        self._xor_tab = _KernelCacheView("xor", handle, 3)
+        self._exists_tab = _KernelCacheView("exists", handle, 4)
+        self._andex_tab = _KernelCacheView("and_exists", handle, 5)
+        self._andall_tab = _KernelCacheView("and_forall", handle, 6)
+        self._restrict_tab = _KernelCacheView("restrict", handle, 7)
         self._tables = (
             self._not_tab,
             self._and_tab,
@@ -327,6 +267,16 @@ class NativeBddManager(ArrayBddManager):
             self._restrict_tab,
             self._compose_tab,
         )
+
+    def _wrap(self, node_id: int) -> BddNode:
+        node = super()._wrap(node_id)
+        handles = self._handles
+        handles.append(weakref.ref(node))
+        if len(handles) > self._handles_purge_at:
+            # amortized purge of dead references (no per-ref callbacks)
+            self._handles = handles = [r for r in handles if r() is not None]
+            self._handles_purge_at = max(1024, 2 * len(handles))
+        return node
 
     # ------------------------------------------------------------------
     # the read-only row mirror
@@ -444,7 +394,7 @@ class NativeBddManager(ArrayBddManager):
         entry = self._levels_c_arrays.get(levels)
         if entry is None:
             arr = (ctypes.c_int32 * len(levels))(*levels)
-            entry = (arr, self._levels_id(levels))
+            entry = (arr, len(self._levels_c_arrays) + 1)
             self._levels_c_arrays[levels] = entry
         return entry
 
@@ -496,14 +446,14 @@ class NativeBddManager(ArrayBddManager):
     # ------------------------------------------------------------------
     @traced_gc
     def garbage_collect(self) -> int:
-        """Collect in the C kernel; the array kernel's bookkeeping after.
+        """Collect in the C kernel, then refresh the mirror.
 
         ``nat_gc`` marks from the externally referenced roots, sweeps, and
-        compacts once dead rows reach half the store (with the array
-        kernel's outcome), dropping the C caches.  Python then refreshes
-        the row mirror and, on compaction, remaps ``_extref`` and every
-        live handle through the new ids written over the root array.
-        Returns the number of nodes reclaimed.
+        compacts once dead rows reach half the store, dropping the C
+        caches.  Python then refreshes the row mirror and, on compaction,
+        remaps ``_extref`` and every live handle through the new ids
+        written over the root array.  Returns the number of nodes
+        reclaimed.
         """
         roots = [f for f, c in self._extref.items() if c > 0]
         ids = (ctypes.c_int32 * len(roots))(*roots)
@@ -522,24 +472,24 @@ class NativeBddManager(ArrayBddManager):
             }
             for handle in handles:
                 handle.id = remap[handle.id]
-            self._dead_rows = 0
+            # a compacted store holds exactly the live rows, all of them
+            # in the unique tables again, including any that a swap
+            # aborted on the budget had left out of them
+            self._nodes_live = len(self._var) - 2
         else:
-            self._dead_rows += reclaimed
-        if self.max_nodes is not None:
-            self._node_cap = self.max_nodes + self._dead_rows
-        self._nodes_live -= reclaimed
+            self._nodes_live -= reclaimed
         self._gc_runs += 1
         self._gc_reclaimed += reclaimed
         # the kernel dropped its own caches
-        ArrayBddManager._invalidate_caches(self)
+        BddManager._invalidate_caches(self)
         self._kernel.dirty = True
         return reclaimed
 
     def swap_levels(self, level: int) -> None:
         """Swap the variables at ``level`` and ``level + 1`` in the C kernel.
 
-        Same contract as the array kernel (ids preserved, the same
-        ``_mk`` order and budget checks); the mirror takes the new rows
+        Same contract as :meth:`BddManager.swap_levels` (ids preserved,
+        budget checked at every new node); the mirror takes the new rows
         and re-reads only the rewritten ones.
         """
         if not 0 <= level < len(self._level2var) - 1:
@@ -580,7 +530,7 @@ class NativeBddManager(ArrayBddManager):
             raise BddError("unique-table collision during swap; manager corrupted")
         self._level_swaps += 1
         # the kernel dropped its own caches
-        ArrayBddManager._invalidate_caches(self)
+        BddManager._invalidate_caches(self)
 
     def level_sizes(self) -> list[int]:
         """Unique-table size per level, read from the C kernel."""

@@ -21,8 +21,8 @@ Canonicalization choices:
 * delay overrides are restricted to the network before hashing, so a
   model carrying overrides for shrunk-away nodes keys identically;
 * only options that can change the *answer* enter the key (node budgets,
-  check budgets, engine, reorder); purely observational knobs must never
-  be added to :data:`SEMANTIC_OPTIONS`.
+  check budgets, engine, reorder); purely observational knobs — the BDD
+  kernel among them — must never be added to :data:`SEMANTIC_OPTIONS`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ SCHEMA_VERSION = 1
 #: ``exact_row_counts``, which widens the exact method's digest payload.
 #: Transport/layer options such as ``cache_dir`` are excluded on purpose.
 SEMANTIC_OPTIONS = (
-    "backend",
     "delay_model",
     "engine",
     "exact_row_counts",
@@ -85,30 +84,15 @@ def _canonical_required(
     return {o: float(output_required) for o in network.outputs}
 
 
-#: The backend whose digests carry no ``backend`` entry at all.  This is
-#: the *historical* baseline (the kernel all pre-backend digests were
-#: produced under), deliberately a literal rather than
-#: ``repro.bdd.api.DEFAULT_BACKEND``: flipping the runtime default must
-#: not silently re-key — and thereby orphan — every existing cache entry.
-_CACHE_BASELINE_BACKEND = "object"
-
-
 def _canonical_options(options: Mapping[str, object] | None) -> dict:
     """The :data:`SEMANTIC_OPTIONS` subset, with unset/False values
     dropped so explicit defaults key identically to absent options.
 
-    ``backend`` is keyed by its *effective* value: an unset option falls
-    back to ``$REPRO_BDD_BACKEND``, so entries produced under an
-    env-selected array kernel can never alias object-kernel entries.
-    Two collapses keep equal results keyed equally:
-
-    * ``native`` keys as ``array`` — the native kernel is bit-identical
-      to the array kernel by construction (same node-creation sequence,
-      same budget-abort points), so the two must share cache entries;
-    * the historical baseline (:data:`_CACHE_BASELINE_BACKEND`) is
-      dropped like every other unset option, which keeps all
-      pre-backend digests reachable without a :data:`SCHEMA_VERSION`
-      bump.
+    The BDD ``backend`` is not among them: the kernels produce the same
+    rows (the fuzzer's ``bdd-backend-parity`` check enforces it), so a
+    result computed under one serves every other.  Digests therefore
+    match the ones object-kernel runs always had, and existing entries
+    stay reachable without a :data:`SCHEMA_VERSION` bump.
     """
     options = options or {}
     out = {
@@ -116,21 +100,12 @@ def _canonical_options(options: Mapping[str, object] | None) -> dict:
         for name in SEMANTIC_OPTIONS
         if options.get(name) not in (None, False)
     }
-    from repro.bdd.api import resolve_backend
-
-    effective = resolve_backend(options.get("backend"))
-    if effective == "native":
-        effective = "array"
-    if effective == _CACHE_BASELINE_BACKEND:
-        out.pop("backend", None)
-    else:
-        out["backend"] = effective
-    # like the baseline backend: an explicit "scalar" is the historical
-    # default, so it keys identically to an absent option and existing
-    # digests stay reachable.  A genuine "interval" run additionally
-    # carries the interval spec in the ``delays`` payload (its
-    # ``"model": "interval"`` marker), so it can never alias a scalar
-    # entry even for point intervals.
+    # an explicit "scalar" is the historical default, so it keys
+    # identically to an absent option and existing digests stay
+    # reachable.  A genuine "interval" run additionally carries the
+    # interval spec in the ``delays`` payload (its ``"model":
+    # "interval"`` marker), so it can never alias a scalar entry even
+    # for point intervals.
     if out.get("delay_model") == "scalar":
         out.pop("delay_model", None)
     return out

@@ -228,7 +228,17 @@ class TestCli:
                      "--required", "2", "--delay-model", "interval",
                      "--json"]) == 0
         interval = json.loads(capsys.readouterr().out)
-        assert scalar == interval  # point interval is byte-identical
+        # the two wall-clock fields differ from run to run: each must be
+        # present and a duration, and every result field byte-identical
+        clock = ("cpu_time", "first_nontrivial")
+        for row in (scalar, interval):
+            for name in clock:
+                assert row[name] is None or row[name] >= 0
+        results = [
+            {k: v for k, v in row.items() if k not in clock}
+            for row in (scalar, interval)
+        ]
+        assert results[0] == results[1]  # point interval is byte-identical
 
     def test_required_widened_spec_emits_bounds(self, fig4_blif, tmp_path, capsys):
         spec = tmp_path / "delays.json"
